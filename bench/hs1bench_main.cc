@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "runtime/scenario.h"
 #include "runtime/sweep_runner.h"
@@ -19,67 +20,40 @@
 namespace hotstuff1 {
 namespace {
 
+const tools::ToolFlag kAllFlag{"all", "", "run every registered scenario",
+                               tools::FlagScope::kScenarioMode};
+
 void PrintUsage(std::FILE* out) {
-  std::fprintf(out, R"(hs1bench - registry-driven benchmark harness
-
-  --list                     enumerate registered scenarios with their axes
-  --scenario=<name>          run one scenario (repeatable via positional args)
-  --all                      run every registered scenario
-  --jobs=N                   worker threads across sweep points
-                             (default: hardware concurrency)
-  --sim-jobs=N               threads inside each experiment's event loop
-                             (default: per-scenario config; output is
-                             byte-identical at any value)
-  --lookahead=auto|off|<us>  conservative lookahead window for the parallel
-                             event loop (default: per-scenario config;
-                             byte-identical at any value)
-  --format=table|csv|json    output format (default table)
-  --oracle                   arm the online safety + liveness oracles on every
-                             point (pure observers; violations fail the run
-                             with a config+seed diagnostic)
-  --strategy=<schedule>      force a composable per-epoch adversary strategy
-                             onto every point's faulty coalition (grammar in
-                             runtime/adversary.h; respected only when the
-                             scenario does not sweep the strategy itself)
-  --reconfig=<schedule>      force an epoch-based committee reconfiguration
-                             schedule onto every point (grammar in
-                             consensus/committee.h; respected only when the
-                             scenario does not sweep the schedule itself)
-  --arrival=<kind>           force a traffic model onto every point
-                             (closed|poisson|bursty|diurnal|flash; respected
-                             only when the scenario does not sweep it)
-  --offered-load=<txn/s>     force the open-loop aggregate arrival rate
-  --client-groups=G          force the client-pool shard count (output is
-                             byte-identical at any value)
-  --cert-scheme=<scheme>     force the authenticator wire encoding onto every
-                             point (vector|aggregate|threshold; respected
-                             only when the scenario does not sweep it)
-  --smoke                    CI-sized points (short windows, axis endpoints)
-  --repeat=K                 rerun the scenario K times and report median
-                             wall-clock metrics (deterministic output is
-                             byte-identical across reruns by contract)
-  --bench-json=PATH          write the machine-readable perf ledger to PATH
-                             (throughput scenario; see tools/bench_compare.py)
-  --help                     this text
-
-Scenario durations honor the H1_DURATION_MS environment override.
-)");
+  std::fprintf(out, "hs1bench - registry-driven benchmark harness\n\n");
+  tools::PrintToolFlags(out, {&tools::kListFlag, &tools::kScenarioFlag, &kAllFlag});
+  std::fprintf(out, "  (more scenarios may follow as positional arguments)\n");
+  tools::PrintToolFlags(out, tools::kScenarioRunFlags);
+  tools::PrintToolFlags(out, {&tools::kHelpFlag});
+  std::fprintf(out, "\nConfig overrides for every point, ignored (with a note) by a "
+                    "scenario\nthat sweeps the field itself:\n");
+  tools::PrintConfigFlags(out, /*scenario_only=*/true, /*defaults=*/nullptr);
+  std::fprintf(out,
+               "\nScenario durations honor the H1_DURATION_MS environment "
+               "override.\n");
 }
 
 int RunMain(int argc, char** argv) {
   tools::Flags flags(argc, argv);
-  if (flags.Has("help")) {
+  if (flags.Has(tools::kHelpFlag.flag)) {
     PrintUsage(stdout);
     return 0;
   }
-  if (flags.Has("list")) return tools::ListScenarios();
-
-  ScenarioRunOptions options;
-  if (!tools::ParseScenarioRunOptions(flags, &options)) return 2;
+  std::vector<const tools::ToolFlag*> tool_flags = tools::kScenarioRunFlags;
+  tool_flags.insert(tool_flags.end(),
+                    {&tools::kHelpFlag, &tools::kListFlag, &tools::kScenarioFlag, &kAllFlag});
+  if (!tools::CheckFlags(flags, tool_flags, /*scenario_mode=*/true)) return 2;
+  if (flags.Has(tools::kListFlag.flag)) return tools::ListScenarios();
 
   std::vector<std::string> names = flags.positional();
-  if (flags.Has("scenario")) names.push_back(flags.GetString("scenario", ""));
-  if (flags.GetBool("all", false)) {
+  if (flags.Has(tools::kScenarioFlag.flag)) {
+    names.push_back(flags.GetString(tools::kScenarioFlag.flag, ""));
+  }
+  if (flags.GetBool(kAllFlag.flag, false)) {
     for (const ScenarioSpec* spec : ScenarioRegistry::Instance().All()) {
       names.push_back(spec->name);
     }
@@ -88,18 +62,7 @@ int RunMain(int argc, char** argv) {
     PrintUsage(stderr);
     return 2;
   }
-
-  int exit_code = 0;
-  for (const std::string& name : names) {
-    const ScenarioSpec* spec = ScenarioRegistry::Instance().Find(name);
-    if (spec == nullptr) {
-      std::fprintf(stderr, "unknown scenario '%s' (try --list)\n", name.c_str());
-      return 2;
-    }
-    const int code = RunScenario(*spec, options);
-    if (code != 0) exit_code = code;
-  }
-  return exit_code;
+  return tools::RunScenarios(flags, names);
 }
 
 }  // namespace

@@ -41,9 +41,12 @@ enum class ArrivalKind : uint32_t {
   kFlashCrowd = 4,
 };
 
-/// Parses "closed" / "poisson" / "bursty" / "diurnal" / "flash".
-bool ParseArrivalKind(const std::string& s, ArrivalKind* out);
-const char* ArrivalKindName(ArrivalKind kind);
+/// The --arrival spellings, indexed by ArrivalKind.
+inline constexpr const char* kArrivalKindNames[] = {"closed", "poisson", "bursty",
+                                                    "diurnal", "flash"};
+inline const char* ArrivalKindName(ArrivalKind kind) {
+  return kArrivalKindNames[static_cast<size_t>(kind)];
+}
 
 struct ArrivalConfig {
   ArrivalKind kind = ArrivalKind::kClosedLoop;
@@ -68,19 +71,9 @@ struct ArrivalConfig {
   SimTime flash_rise = Millis(30);
   SimTime flash_decay = Millis(150);
   double flash_peak = 6.0;
-};
 
-inline bool operator==(const ArrivalConfig& a, const ArrivalConfig& b) {
-  return a.kind == b.kind && a.offered_load_tps == b.offered_load_tps &&
-         a.burst_duty == b.burst_duty && a.burst_on_mean == b.burst_on_mean &&
-         a.diurnal_period == b.diurnal_period &&
-         a.diurnal_amplitude == b.diurnal_amplitude &&
-         a.flash_start == b.flash_start && a.flash_rise == b.flash_rise &&
-         a.flash_decay == b.flash_decay && a.flash_peak == b.flash_peak;
-}
-inline bool operator!=(const ArrivalConfig& a, const ArrivalConfig& b) {
-  return !(a == b);
-}
+  bool operator==(const ArrivalConfig&) const = default;
+};
 
 /// \brief One group's deterministic arrival-time stream.
 ///

@@ -31,8 +31,7 @@ struct Committee {
 
   bool Contains(ReplicaId r) const;
 
-  bool operator==(const Committee& o) const { return members == o.members; }
-  bool operator!=(const Committee& o) const { return !(*this == o); }
+  bool operator==(const Committee&) const = default;
 };
 
 /// A membership step: `committee` becomes active at epoch `from_epoch` and
@@ -41,9 +40,7 @@ struct CommitteeStep {
   uint32_t from_epoch = 0;
   Committee committee;
 
-  bool operator==(const CommitteeStep& o) const {
-    return from_epoch == o.from_epoch && committee == o.committee;
-  }
+  bool operator==(const CommitteeStep&) const = default;
 };
 
 /// \brief Epoch-indexed membership schedule.
@@ -79,10 +76,7 @@ struct CommitteeSchedule {
   /// Smallest per-epoch fault bound across all steps.
   uint32_t MinF() const;
 
-  bool operator==(const CommitteeSchedule& o) const {
-    return views_per_epoch == o.views_per_epoch && steps == o.steps;
-  }
-  bool operator!=(const CommitteeSchedule& o) const { return !(*this == o); }
+  bool operator==(const CommitteeSchedule&) const = default;
 };
 
 /// Parses the reconfiguration text grammar:

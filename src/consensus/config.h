@@ -28,6 +28,7 @@ struct CostModel {
   SimTime ExecCost(size_t txns) const {
     return static_cast<SimTime>(per_txn_exec_us * static_cast<double>(txns));
   }
+  bool operator==(const CostModel&) const = default;
 };
 
 // --- composable adversary strategies -----------------------------------------
@@ -82,14 +83,9 @@ struct StrategyEntry {
   std::vector<uint32_t> outage_regions;
   /// kActJitter: max extra delay as an integer percentage of base latency.
   uint32_t jitter_pct = 0;
-};
 
-inline bool operator==(const StrategyEntry& a, const StrategyEntry& b) {
-  return a.from_epoch == b.from_epoch && a.to_epoch == b.to_epoch &&
-         a.actions == b.actions && a.delay == b.delay &&
-         a.partition == b.partition && a.outage_regions == b.outage_regions &&
-         a.jitter_pct == b.jitter_pct;
-}
+  bool operator==(const StrategyEntry&) const = default;
+};
 
 /// A per-epoch adversary strategy for the whole coalition. Epochs are fixed
 /// wall-clock slices of `epoch_length` virtual time (0 = resolve to
@@ -154,15 +150,9 @@ struct StrategySchedule {
     }
     return gst;
   }
-};
 
-inline bool operator==(const StrategySchedule& a, const StrategySchedule& b) {
-  return a.entries == b.entries && a.epoch_length == b.epoch_length &&
-         a.declared_gst == b.declared_gst;
-}
-inline bool operator!=(const StrategySchedule& a, const StrategySchedule& b) {
-  return !(a == b);
-}
+  bool operator==(const StrategySchedule&) const = default;
+};
 
 /// Byzantine behaviours used by the failure experiments (§7.3).
 enum class Fault : uint8_t {

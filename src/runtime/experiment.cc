@@ -1,7 +1,6 @@
 #include "runtime/experiment.h"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "baselines/hotstuff.h"
 #include "baselines/hotstuff2.h"
@@ -28,68 +27,6 @@ const char* ProtocolName(ProtocolKind kind) {
 bool IsSpeculative(ProtocolKind kind) {
   return kind == ProtocolKind::kHotStuff1Basic || kind == ProtocolKind::kHotStuff1 ||
          kind == ProtocolKind::kHotStuff1Slotted;
-}
-
-bool ParseLookahead(const std::string& s, LookaheadSpec* out) {
-  if (s == "auto") {
-    *out = LookaheadSpec{LookaheadMode::kAuto, 0};
-    return true;
-  }
-  if (s == "off") {
-    *out = LookaheadSpec{LookaheadMode::kOff, 0};
-    return true;
-  }
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v < 0) return false;
-  *out = v == 0 ? LookaheadSpec{LookaheadMode::kOff, 0}
-                : LookaheadSpec{LookaheadMode::kWindow, static_cast<SimTime>(v)};
-  return true;
-}
-
-std::string FormatLookahead(const LookaheadSpec& spec) {
-  switch (spec.mode) {
-    case LookaheadMode::kAuto: return "auto";
-    case LookaheadMode::kOff: return "off";
-    case LookaheadMode::kWindow: return std::to_string(spec.window);
-  }
-  return "?";
-}
-
-std::string DescribeConfig(const ExperimentConfig& config) {
-  // Deliberately omits the executor shape (sim_jobs / lookahead): results
-  // are byte-identical across it by contract, so it is not part of a repro —
-  // and including it would make otherwise-identical oracle diagnostics
-  // differ across executor configurations.
-  std::string out = "protocol=";
-  out += ProtocolName(config.protocol);
-  out += " n=" + std::to_string(config.n);
-  out += " batch=" + std::to_string(config.batch_size);
-  out += " fault=" + std::to_string(static_cast<int>(config.fault));
-  out += " faulty=" + std::to_string(config.num_faulty);
-  out += " victims=" + std::to_string(config.rollback_victims);
-  if (!config.strategy.empty()) {
-    // As typed on the command line (epoch_length left unresolved): the line
-    // is a repro, so it must match the flag that produced it.
-    out += " strategy=" + FormatStrategySchedule(config.strategy);
-  }
-  if (!config.reconfig.empty()) {
-    // As typed on the command line (views_per_epoch left unresolved).
-    out += " reconfig=" + FormatCommitteeSchedule(config.reconfig);
-  }
-  out += " bw=" +
-         std::to_string(static_cast<long long>(config.bandwidth_bytes_per_us));
-  out += " groups=" + std::to_string(config.client_groups);
-  out += " cert=";
-  out += CertSchemeName(config.cert_scheme);
-  out += " arrival=";
-  out += ArrivalKindName(config.arrival.kind);
-  if (config.arrival.kind != ArrivalKind::kClosedLoop) {
-    out += " load=" + std::to_string(
-                          static_cast<long long>(config.arrival.offered_load_tps));
-  }
-  return out;
 }
 
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {}
@@ -244,6 +181,8 @@ void Experiment::Setup() {
       config_.event_cap > 0 && config_.sim_jobs > 1 && lookahead_window > 0;
 
   if (config_.oracle_enabled) {
+    // One repro line per run, shared by both oracles' diagnostics.
+    std::string repro = DescribeConfig(config_);
     InvariantOracle::Setup os;
     os.n = n;
     os.fault = config_.fault;
@@ -251,8 +190,7 @@ void Experiment::Setup() {
     os.faulty_mask = plan_.faulty_mask;
     os.schedule = plan_.schedule;
     os.committee = committee_;
-    os.seed = config_.seed;
-    os.config_summary = DescribeConfig(config_);
+    os.repro = repro;
     oracle_ = std::make_unique<InvariantOracle>(sim_.get(), std::move(os));
     clients_->SetOracle(oracle_.get());
 
@@ -263,8 +201,7 @@ void Experiment::Setup() {
     ls.k = config_.liveness_k;
     ls.grace = config_.liveness_grace;
     ls.view_timer = config_.view_timer;
-    ls.seed = config_.seed;
-    ls.config_summary = DescribeConfig(config_);
+    ls.repro = std::move(repro);
     liveness_ = std::make_unique<LivenessOracle>(sim_.get(), std::move(ls));
     net_->SetGstCallback([this]() { liveness_->OnGstReached(); });
   }

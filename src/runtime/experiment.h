@@ -13,6 +13,7 @@
 #include "client/client_pool.h"
 #include "consensus/replica.h"
 #include "runtime/adversary.h"
+#include "runtime/config_fields.h"
 #include "sim/topology.h"
 #include "workload/tpcc.h"
 #include "workload/ycsb.h"
@@ -48,19 +49,6 @@ struct LookaheadSpec {
   LookaheadMode mode = LookaheadMode::kAuto;
   SimTime window = 0;  // only read when mode == kWindow
 };
-
-inline bool operator==(const LookaheadSpec& a, const LookaheadSpec& b) {
-  return a.mode == b.mode &&
-         (a.mode != LookaheadMode::kWindow || a.window == b.window);
-}
-inline bool operator!=(const LookaheadSpec& a, const LookaheadSpec& b) {
-  return !(a == b);
-}
-
-/// Parses "auto", "off", or a positive integer microsecond window ("0" is
-/// off). Returns false on anything else.
-bool ParseLookahead(const std::string& s, LookaheadSpec* out);
-std::string FormatLookahead(const LookaheadSpec& spec);
 
 struct ExperimentConfig {
   ProtocolKind protocol = ProtocolKind::kHotStuff1;
@@ -264,10 +252,6 @@ class Experiment {
   AdversaryPlan plan_;
   std::vector<std::unique_ptr<ReplicaBase>> replicas_;
 };
-
-/// One-line human summary of a configuration ("protocol=... n=... fault=...").
-/// Embedded in invariant-oracle diagnostics so a violation names its repro.
-std::string DescribeConfig(const ExperimentConfig& config);
 
 /// Convenience: run one configuration and return the result.
 ExperimentResult RunExperiment(const ExperimentConfig& config);

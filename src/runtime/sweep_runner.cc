@@ -69,108 +69,31 @@ std::string SweepOutcome::FirstLivenessDiagnostic() const {
   return {};
 }
 
-SweepOutcome SweepRunner::Run(const ScenarioSpec& spec, bool smoke) const {
+SweepOutcome SweepRunner::Plan(const ScenarioSpec& spec, bool smoke) const {
   SweepOutcome outcome;
   outcome.spec = &spec;
   outcome.points = ExpandScenario(spec, smoke);
-  if (sim_jobs_ > 0) {
-    // Respect scenarios that sweep sim_jobs themselves (par_speedup): if any
-    // axis mutator changed it from the base, the global override would
-    // silently relabel the rows, so it is ignored for that scenario.
-    const bool axis_sweeps_sim_jobs =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.sim_jobs != spec.base.sim_jobs;
-                    });
-    if (!axis_sweeps_sim_jobs) {
-      for (SweepPoint& p : outcome.points) {
-        p.config.sim_jobs = static_cast<uint32_t>(sim_jobs_);
-      }
+  for (const ConfigOverride& o : overrides_) {
+    const ConfigField* field = FindConfigField(o.flag);
+    HS1_CHECK(field != nullptr && field->scenario) << "no scenario flag --" << o.flag;
+    const std::string base = field->format(spec.base);
+    const bool swept = std::any_of(
+        outcome.points.begin(), outcome.points.end(),
+        [&](const SweepPoint& p) { return field->format(p.config) != base; });
+    if (swept) {
+      outcome.ignored_overrides.push_back(field->flag);
+      continue;
+    }
+    for (SweepPoint& p : outcome.points) {
+      std::string error;
+      HS1_CHECK(field->parse(o.value, &p.config, &error)) << error;
     }
   }
-  if (has_lookahead_) {
-    // Same respect-the-axis rule for --lookahead (par_speedup sweeps it).
-    const bool axis_sweeps_lookahead =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.lookahead != spec.base.lookahead;
-                    });
-    if (!axis_sweeps_lookahead) {
-      for (SweepPoint& p : outcome.points) p.config.lookahead = lookahead_;
-    }
-  }
-  if (has_arrival_) {
-    // fig_saturation sweeps the arrival process as its table axis.
-    const bool axis_sweeps_arrival =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.arrival.kind != spec.base.arrival.kind;
-                    });
-    if (!axis_sweeps_arrival) {
-      for (SweepPoint& p : outcome.points) p.config.arrival.kind = arrival_;
-    }
-  }
-  if (has_offered_load_) {
-    // fig_saturation sweeps the offered load as its row axis.
-    const bool axis_sweeps_load = std::any_of(
-        outcome.points.begin(), outcome.points.end(), [&](const SweepPoint& p) {
-          return p.config.arrival.offered_load_tps !=
-                 spec.base.arrival.offered_load_tps;
-        });
-    if (!axis_sweeps_load) {
-      for (SweepPoint& p : outcome.points) {
-        p.config.arrival.offered_load_tps = offered_load_;
-      }
-    }
-  }
-  if (has_cert_scheme_) {
-    // fig_cert_size sweeps the authenticator scheme as its column axis.
-    const bool axis_sweeps_scheme =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.cert_scheme != spec.base.cert_scheme;
-                    });
-    if (!axis_sweeps_scheme) {
-      for (SweepPoint& p : outcome.points) p.config.cert_scheme = cert_scheme_;
-    }
-  }
-  if (client_groups_ > 0) {
-    const bool axis_sweeps_groups =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.client_groups != spec.base.client_groups;
-                    });
-    if (!axis_sweeps_groups) {
-      for (SweepPoint& p : outcome.points) p.config.client_groups = client_groups_;
-    }
-  }
-  if (has_strategy_) {
-    // fig_liveness sweeps the strategy (its rows vary the coalition, its
-    // base carries the schedule); the global override must not relabel it.
-    const bool axis_sweeps_strategy =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.strategy != spec.base.strategy;
-                    });
-    if (!axis_sweeps_strategy) {
-      for (SweepPoint& p : outcome.points) p.config.strategy = strategy_;
-    }
-  }
-  if (has_reconfig_) {
-    // fig_reconfig sweeps the committee schedule as its row axis; the global
-    // override must not relabel it.
-    const bool axis_sweeps_reconfig =
-        std::any_of(outcome.points.begin(), outcome.points.end(),
-                    [&](const SweepPoint& p) {
-                      return p.config.reconfig != spec.base.reconfig;
-                    });
-    if (!axis_sweeps_reconfig) {
-      for (SweepPoint& p : outcome.points) p.config.reconfig = reconfig_;
-    }
-  }
-  if (force_oracle_) {
-    for (SweepPoint& p : outcome.points) p.config.oracle_enabled = true;
-  }
+  return outcome;
+}
+
+SweepOutcome SweepRunner::Run(const ScenarioSpec& spec, bool smoke) const {
+  SweepOutcome outcome = Plan(spec, smoke);
   outcome.results.resize(outcome.points.size());
 
   auto run_point = [&](size_t i) {
@@ -241,8 +164,6 @@ std::vector<DiagColumn> DiagColumns(const std::vector<MetricSpec>& metrics) {
       {"safety_ok", [](const ExperimentResult& r) { return r.safety_ok ? "1" : "0"; }},
       {"event_cap_hit",
        [](const ExperimentResult& r) { return r.event_cap_hit ? "1" : "0"; }},
-      // liveness_violations sits BEFORE oracle_violations: CI awk gates
-      // address oracle_violations as the last field ($NF).
       {"liveness_violations",
        [](const ExperimentResult& r) {
          return std::to_string(r.liveness_violations);
@@ -408,18 +329,20 @@ void EmitJson(const SweepOutcome& outcome, std::ostream& os) {
 
 int RunScenario(const ScenarioSpec& spec, const ScenarioRunOptions& options) {
   std::ostream& os = options.out ? *options.out : std::cout;
-  if (spec.custom_run) return spec.custom_run(options);
+  if (spec.custom_run) {
+    for (const ConfigOverride& o : options.overrides) {
+      std::cerr << "note: scenario '" << spec.name << "' is not a config sweep; the --"
+                << o.flag << " override is ignored\n";
+    }
+    return spec.custom_run(options);
+  }
 
-  SweepRunner runner(options.jobs, options.sim_jobs);
-  if (options.has_lookahead) runner.OverrideLookahead(options.lookahead);
-  if (options.oracle) runner.ForceOracle();
-  if (options.has_strategy) runner.ForceStrategy(options.strategy);
-  if (options.has_reconfig) runner.ForceReconfig(options.reconfig);
-  if (options.has_arrival) runner.ForceArrival(options.arrival);
-  if (options.has_offered_load) runner.ForceOfferedLoad(options.offered_load);
-  if (options.client_groups > 0) runner.ForceClientGroups(options.client_groups);
-  if (options.has_cert_scheme) runner.ForceCertScheme(options.cert_scheme);
+  SweepRunner runner(options.jobs, options.overrides);
   SweepOutcome outcome = runner.Run(spec, options.smoke);
+  for (const std::string& flag : outcome.ignored_overrides) {
+    std::cerr << "note: scenario '" << spec.name << "' sweeps --" << flag
+              << " itself; the --" << flag << " override is ignored\n";
+  }
   if (options.repeat > 1) {
     // Rerun and keep the per-point *median* wall-clock time. Every
     // deterministic field is byte-identical across reruns by contract, so

@@ -53,6 +53,7 @@ struct Topology {
   static SimTime RegionOneWay(uint32_t a, uint32_t b);
 
   static std::string RegionName(uint32_t region);
+  bool operator==(const Topology&) const = default;
 };
 
 }  // namespace hotstuff1::sim

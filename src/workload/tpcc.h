@@ -20,6 +20,7 @@ struct TpccConfig {
   double new_order_fraction = 0.5;
   uint32_t min_order_lines = 5;
   uint32_t max_order_lines = 15;
+  bool operator==(const TpccConfig&) const = default;
 };
 
 /// Table tags for the key encoding (top byte of the key).

@@ -20,6 +20,7 @@ struct YcsbConfig {
   /// Extra payload bytes per transaction beyond op encoding (total wire
   /// size ~64 B/txn with the default, matching small KV writes).
   uint32_t payload_bytes = 23;
+  bool operator==(const YcsbConfig&) const = default;
 };
 
 class YcsbWorkload : public Workload {

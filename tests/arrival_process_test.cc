@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "client/arrival.h"
+#include "runtime/config_fields.h"
+#include "runtime/experiment.h"
 
 namespace hotstuff1 {
 namespace {
@@ -211,16 +213,18 @@ TEST(ArrivalProcessTest, FlashCrowdRampAndDecay) {
 }
 
 TEST(ArrivalProcessTest, ParseAndNameRoundTrip) {
+  const ConfigField& field = *FindConfigField("arrival");
+  std::string error;
   for (ArrivalKind kind : {ArrivalKind::kClosedLoop, ArrivalKind::kPoisson,
                            ArrivalKind::kBursty, ArrivalKind::kDiurnal,
                            ArrivalKind::kFlashCrowd}) {
-    ArrivalKind parsed;
-    ASSERT_TRUE(ParseArrivalKind(ArrivalKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
+    ExperimentConfig cfg;
+    ASSERT_TRUE(field.parse(ArrivalKindName(kind), &cfg, &error)) << error;
+    EXPECT_EQ(cfg.arrival.kind, kind);
   }
-  ArrivalKind parsed;
-  EXPECT_FALSE(ParseArrivalKind("junk", &parsed));
-  EXPECT_FALSE(ParseArrivalKind("", &parsed));
+  ExperimentConfig cfg;
+  EXPECT_FALSE(field.parse("junk", &cfg, &error));
+  EXPECT_FALSE(field.parse("", &cfg, &error));
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ TEST_P(DeterminismStress, RandomConfigIsByteIdenticalAcrossExecutors) {
                    << serial.protocol << " batch=" << cfg.batch_size
                    << " fault=" << static_cast<int>(cfg.fault)
                    << " sim_jobs=" << sim_jobs
-                   << " lookahead=" << FormatLookahead(cfg.lookahead));
+                   << " lookahead=" << FindConfigField("lookahead")->format(cfg));
       ExpectSameResult(RunExperiment(cfg), serial);
     }
   }

@@ -24,7 +24,7 @@ TEST_P(FuzzInvariant, RandomizedAdversaryRunIsOracleClean) {
   SCOPED_TRACE(::testing::Message()
                << "fuzz seed " << GetParam() << ": " << DescribeConfig(cfg)
                << " sim_jobs=" << cfg.sim_jobs
-               << " lookahead=" << FormatLookahead(cfg.lookahead));
+               << " lookahead=" << FindConfigField("lookahead")->format(cfg));
   Experiment exp(cfg);
   const ExperimentResult res = exp.Run();
 
@@ -88,9 +88,9 @@ TEST(OracleMutation, InjectedEquivocationCommitIsDetected) {
   // invariant, the configuration and the seed.
   const std::string& diag = res.oracle_first_violation;
   EXPECT_NE(diag.find("invariant"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("protocol=HotStuff-1"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("n=7"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("seed=3"), std::string::npos) << diag;
+  EXPECT_NE(diag.find(" --protocol=hotstuff1 "), std::string::npos) << diag;
+  EXPECT_NE(diag.find(" --n=7 "), std::string::npos) << diag;
+  EXPECT_NE(diag.find(" --seed=3 "), std::string::npos) << diag;
 
   // The equivocating commit itself surfaces as a commit-conflict in the
   // violation log (alongside the spec/client contradictions it causes).
@@ -136,7 +136,7 @@ TEST(OracleMutation, ViolationDiagnosticsAreExecutorInvariant) {
       cfg.lookahead = {mode, 0};
       SCOPED_TRACE(::testing::Message() << "sim_jobs=" << sim_jobs
                                         << " lookahead="
-                                        << FormatLookahead(cfg.lookahead));
+                                        << FindConfigField("lookahead")->format(cfg));
       ExpectSameResult(RunExperiment(cfg), serial);
     }
   }

@@ -141,21 +141,24 @@ TEST(HorizonTest, ExplicitAndOffModes) {
 }
 
 TEST(HorizonTest, ParseLookaheadRoundTrips) {
-  LookaheadSpec spec;
-  EXPECT_TRUE(ParseLookahead("auto", &spec));
-  EXPECT_EQ(spec.mode, LookaheadMode::kAuto);
-  EXPECT_TRUE(ParseLookahead("off", &spec));
-  EXPECT_EQ(spec.mode, LookaheadMode::kOff);
-  EXPECT_TRUE(ParseLookahead("0", &spec));
-  EXPECT_EQ(spec.mode, LookaheadMode::kOff);
-  EXPECT_TRUE(ParseLookahead("250", &spec));
-  EXPECT_EQ(spec.mode, LookaheadMode::kWindow);
-  EXPECT_EQ(spec.window, 250);
-  EXPECT_EQ(FormatLookahead(spec), "250");
-  EXPECT_FALSE(ParseLookahead("", &spec));
-  EXPECT_FALSE(ParseLookahead("fast", &spec));
-  EXPECT_FALSE(ParseLookahead("-3", &spec));
-  EXPECT_FALSE(ParseLookahead("12ms", &spec));
+  const ConfigField& field = *FindConfigField("lookahead");
+  ExperimentConfig cfg;
+  std::string error;
+  EXPECT_TRUE(field.parse("auto", &cfg, &error));
+  EXPECT_EQ(cfg.lookahead.mode, LookaheadMode::kAuto);
+  EXPECT_TRUE(field.parse("off", &cfg, &error));
+  EXPECT_EQ(cfg.lookahead.mode, LookaheadMode::kOff);
+  EXPECT_TRUE(field.parse("0", &cfg, &error));
+  EXPECT_EQ(cfg.lookahead.mode, LookaheadMode::kOff);
+  EXPECT_TRUE(field.parse("250", &cfg, &error));
+  EXPECT_EQ(cfg.lookahead.mode, LookaheadMode::kWindow);
+  EXPECT_EQ(cfg.lookahead.window, 250);
+  EXPECT_EQ(field.format(cfg), "250");
+  EXPECT_FALSE(field.parse("", &cfg, &error));
+  EXPECT_FALSE(field.parse("fast", &cfg, &error));
+  EXPECT_FALSE(field.parse("-3", &cfg, &error));
+  EXPECT_FALSE(field.parse("12ms", &cfg, &error));
+  EXPECT_EQ(field.format(cfg), "250");  // a rejected value leaves the field alone
 }
 
 // --- window engagement ------------------------------------------------------

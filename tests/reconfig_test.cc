@@ -179,7 +179,7 @@ TEST(ReconfigExperimentTest, ChurnIsByteIdenticalAcrossExecutors) {
       cfg.lookahead = {mode, 0};
       SCOPED_TRACE(::testing::Message() << "sim_jobs=" << sim_jobs
                                         << " lookahead="
-                                        << FormatLookahead(cfg.lookahead));
+                                        << FindConfigField("lookahead")->format(cfg));
       ExpectSameResult(RunExperiment(cfg), serial);
     }
   }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <sstream>
 #include <tuple>
 
+#include "runtime/config_fields.h"
 #include "runtime/report.h"
 #include "runtime/scenario.h"
 #include "runtime/sweep_runner.h"
@@ -163,25 +165,55 @@ TEST(SweepRunnerTest, MultiSeedTablesCarryVarianceColumns) {
   EXPECT_EQ(os1.str().find("±"), std::string::npos);
 }
 
-TEST(SweepRunnerTest, SimJobsOverrideRespectsSimJobsAxis) {
-  // A scenario that sweeps sim_jobs itself keeps its axis values even when
-  // the runner carries a global override; a scenario that does not gets the
-  // override applied to every point.
-  ScenarioSpec sweeping = TinySpec();
-  sweeping.rows.clear();
-  for (uint32_t jobs : {1u, 2u}) {
-    sweeping.rows.push_back({std::to_string(jobs), [jobs](ExperimentConfig& c) {
-                               c.sim_jobs = jobs;
-                             }});
-  }
-  const SweepOutcome swept = SweepRunner(1, /*sim_jobs=*/8).Run(sweeping);
-  for (const SweepPoint& p : swept.points) {
-    EXPECT_EQ(p.config.sim_jobs, static_cast<uint32_t>(std::stoi(p.row_label)));
-  }
+// Two distinct values per scenario-mode flag, neither the TinySpec default
+// for the first. Every field the table marks `scenario` needs an entry, so
+// a new override cannot skip the test below.
+const std::map<std::string, std::pair<std::string, std::string>> kOverrideSamples = {
+    {"strategy", {"0:withhold", "0-2:withhold"}},
+    {"reconfig", {"0:0-3", "0:0-4"}},
+    {"client-groups", {"2", "3"}},
+    {"arrival", {"poisson", "bursty"}},
+    {"offered-load", {"1000", "2000"}},
+    {"cert-scheme", {"aggregate", "threshold"}},
+    {"sim-jobs", {"2", "3"}},
+    {"lookahead", {"off", "400"}},
+    {"oracle", {"true", "false"}},
+};
 
-  const SweepOutcome plain = SweepRunner(1, /*sim_jobs=*/2).Run(TinySpec());
-  for (const SweepPoint& p : plain.points) {
-    EXPECT_EQ(p.config.sim_jobs, 2u);
+TEST(SweepRunnerTest, OverridesRespectEveryScenarioFieldAxis) {
+  // An override is forced onto every point of a scenario that does not sweep
+  // its field, and ignored (and reported) for one that does, whose rows keep
+  // their own values.
+  for (const ConfigField& field : ConfigFields()) {
+    if (!field.scenario) continue;
+    SCOPED_TRACE(field.flag);
+    const auto sample = kOverrideSamples.find(field.flag);
+    ASSERT_NE(sample, kOverrideSamples.end()) << "no sample values";
+    const auto& [forced, other] = sample->second;
+    const SweepRunner runner(1, {{field.flag, forced}});
+
+    const ScenarioSpec plain = TinySpec();
+    ASSERT_NE(field.format(plain.base), forced);
+    const SweepOutcome applied = runner.Plan(plain);
+    EXPECT_TRUE(applied.ignored_overrides.empty());
+    for (const SweepPoint& p : applied.points) {
+      EXPECT_EQ(field.format(p.config), forced);
+    }
+
+    ScenarioSpec sweeping = TinySpec();
+    sweeping.rows.clear();
+    for (const std::string& value : {other, forced}) {
+      sweeping.rows.push_back({value, [&field, value](ExperimentConfig& c) {
+                                 std::string error;
+                                 ASSERT_TRUE(field.parse(value, &c, &error))
+                                     << error;
+                               }});
+    }
+    const SweepOutcome kept = runner.Plan(sweeping);
+    EXPECT_EQ(kept.ignored_overrides, std::vector<std::string>{field.flag});
+    for (const SweepPoint& p : kept.points) {
+      EXPECT_EQ(field.format(p.config), p.row_label);
+    }
   }
 }
 

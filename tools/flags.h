@@ -3,7 +3,7 @@
 #ifndef HOTSTUFF1_TOOLS_FLAGS_H_
 #define HOTSTUFF1_TOOLS_FLAGS_H_
 
-#include <cstdlib>
+#include <charconv>
 #include <map>
 #include <string>
 #include <vector>
@@ -37,14 +37,19 @@ class Flags {
     return it == values_.end() ? def : it->second;
   }
 
-  int64_t GetInt(const std::string& key, int64_t def) const {
+  /// Sets `*out` to the value, a positive decimal count, or to `def` when
+  /// the flag is absent. False when the value is not such a count.
+  bool GetCount(const std::string& key, int def, int* out) const {
     auto it = values_.find(key);
-    return it == values_.end() ? def : std::atoll(it->second.c_str());
+    if (it == values_.end()) return (*out = def, true);
+    const std::string& s = it->second;
+    const auto res = std::from_chars(s.data(), s.data() + s.size(), *out);
+    return res.ec == std::errc() && res.ptr == s.data() + s.size() && *out >= 1;
   }
 
-  double GetDouble(const std::string& key, double def) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
+  /// The values a bare switch accepts (--flag alone means "true").
+  static bool IsSwitchValue(const std::string& value) {
+    return value == "true" || value == "false" || value == "1" || value == "0";
   }
 
   bool GetBool(const std::string& key, bool def) const {
@@ -53,6 +58,7 @@ class Flags {
     return it->second != "false" && it->second != "0";
   }
 
+  const std::map<std::string, std::string>& values() const { return values_; }
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
